@@ -650,9 +650,17 @@ fn main() {
         eprintln!("error: --enforce requires full measurement mode; drop --smoke");
         std::process::exit(2);
     }
-    let shards_override: usize =
-        opt("--shards").map(|s| s.parse().expect("--shards N")).unwrap_or(0);
-    let threads: usize = opt("--threads").map(|s| s.parse().expect("--threads N")).unwrap_or(0);
+    // A malformed count is a usage error (exit 2), never a panic.
+    let count = |name: &str| match opt(name).map(|s| s.parse::<usize>()) {
+        None => 0,
+        Some(Ok(v)) => v,
+        Some(Err(e)) => {
+            eprintln!("error: {name} expects a non-negative integer: {e}");
+            std::process::exit(2);
+        }
+    };
+    let shards_override = count("--shards");
+    let threads = count("--threads");
     let out_path = opt("--out").unwrap_or_else(|| "BENCH_9.json".to_string());
     let baseline = opt("--baseline").map(|p| match extract_baseline(&p) {
         Ok(b) => b,

@@ -323,6 +323,13 @@ pub struct Engine {
     masked_links: EdgeBitSet,
     /// Per-node speed multipliers on `consume_rate` (empty = homogeneous).
     speeds: Vec<f64>,
+    /// Whether this *dirty epoch* has already marked every node a
+    /// consumption sweep can touch. An epoch runs between two points where
+    /// shard flags can be cleared (`eval_shard`, `apply_ranges`,
+    /// `restore`); within one, a flag once set stays set, and any node
+    /// that becomes active or comes back up mid-epoch is marked by the
+    /// mutation that did it, so later sweeps need not mark again.
+    consumers_marked: bool,
     /// Recorded arrival trace being replayed (indexed by `TraceArrival`).
     trace: Vec<TraceEvent>,
     in_flight_load: f64,
@@ -556,6 +563,7 @@ impl Engine {
             *base = slot.accum.nodes_evaluated;
         }
         self.wakes.clear();
+        self.consumers_marked = false;
         self.repartitions += 1;
     }
 
@@ -622,8 +630,7 @@ impl Engine {
             return true;
         }
         // Resident work decays between rounds; the O(1) counter gates the
-        // O(n) consumption sweep. (On an empty system the sweep is a no-op:
-        // `consume_work` on a task-less node mutates nothing.)
+        // active-set consumption sweep, which is a no-op on an empty system.
         if self.config.consume_rate > 0.0 && self.state.resident_tasks() > 0 {
             return true;
         }
@@ -690,6 +697,7 @@ impl Engine {
         // Consume work up to the next scheduled tick, but never rewind.
         let target = deadline.min(self.next_tick).max(self.time);
         self.advance_time_to(target);
+        self.state.sync_work();
         self
     }
 
@@ -718,6 +726,8 @@ impl Engine {
     /// configuration resumes the run byte-identically, under any `(shards,
     /// threads)` layout.
     pub fn checkpoint(&self) -> Checkpoint {
+        // Between rounds every task record carries its current work.
+        self.state.debug_check_active_set();
         let n = self.state.node_count();
         let mut node_rngs = Vec::with_capacity(n);
         for (s, slot) in self.shards.iter().enumerate() {
@@ -828,9 +838,7 @@ impl Engine {
         if cp.engine_rng == [0; 4] || cp.node_rngs.contains(&[0; 4]) {
             return Err("checkpoint carries an all-zero RNG state (corrupt snapshot)".into());
         }
-        for (key, v) in
-            [("time", cp.time), ("next_tick", cp.next_tick), ("in_flight_load", cp.in_flight_load)]
-        {
+        for (key, v) in [("time", cp.time), ("next_tick", cp.next_tick)] {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(format!("checkpoint `{key}` = {v} must be finite and non-negative"));
             }
@@ -920,6 +928,7 @@ impl Engine {
                 return Err("flight task size/work out of range".into());
             }
         }
+        check_in_flight_load(cp)?;
         // Floats that feed accumulated totals or later arithmetic: a single
         // non-finite value would restore Ok and silently poison every
         // subsequent report, so reject it here (JSON carrying `1e999`
@@ -1015,6 +1024,7 @@ impl Engine {
         // CoV belongs to it too, and so does the repartition load window.
         self.wakes.clear();
         self.skip_cov = None;
+        self.consumers_marked = false;
         for (base, slot) in self.repartition_base.iter_mut().zip(&self.shards) {
             *base = slot.accum.nodes_evaluated;
         }
@@ -1103,41 +1113,52 @@ impl Engine {
         }
     }
 
-    /// Advances the clock to `t`, consuming work on every node (scaled by
-    /// the node's speed multiplier when heterogeneous speeds are set).
+    /// Advances the clock to `t`, consuming work on every active up node
+    /// (scaled by the node's speed multiplier when heterogeneous speeds are
+    /// set). See `docs/adr/ADR-011-active-set-consumption.md`.
     fn advance_time_to(&mut self, t: f64) {
         let dt = t - self.time;
         debug_assert!(dt >= -1e-9, "time went backwards: {} -> {}", self.time, t);
         if dt > 0.0 && self.config.consume_rate > 0.0 {
             let amount = dt * self.config.consume_rate;
-            for i in 0..self.state.node_count() {
-                // SoA gate: consuming on an empty node is a no-op (nothing
-                // completes, nothing is used, nothing is marked dirty), so
-                // the sweep streams the flat task-count array and skips the
-                // node-record walk entirely for idle nodes.
-                if self.state.task_count_slice()[i] == 0 {
-                    continue;
-                }
-                // A churned-out node consumes nothing: its frozen tasks (the
-                // no-live-receiver leave case) wait for it to rejoin.
-                if !self.down_nodes.is_empty() && self.down_nodes[i] {
-                    continue;
-                }
-                let scaled = if self.speeds.is_empty() { amount } else { amount * self.speeds[i] };
-                if scaled > 0.0 {
-                    let v = NodeId(i as u32);
-                    let (done, used) = self.state.consume_work(v, scaled);
-                    self.completed_tasks += done;
-                    if done > 0 || used > 0.0 {
-                        self.mark_node_dirty(v);
-                    }
-                }
+            if !self.consumers_marked {
+                self.consumers_marked = self.mark_consumers(amount);
             }
+            self.completed_tasks +=
+                self.state.consume_active(amount, &self.speeds, &self.down_nodes);
         }
         self.time = self.time.max(t);
     }
 
+    /// Marks dirty every node a sweep of `amount` will consume on: the
+    /// active up nodes with a positive scaled amount. Each of them either
+    /// uses work or completes a task, so this is exactly the set the
+    /// per-node loop marked. Returns whether every active up node was
+    /// marked, i.e. whether the marks also cover the rest of the epoch.
+    fn mark_consumers(&mut self, amount: f64) -> bool {
+        let mut all = true;
+        for w in 0..self.state.active_words().len() {
+            let mut bits = self.state.active_words()[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !self.node_up(NodeId(i as u32)) {
+                    continue;
+                }
+                let scaled = if self.speeds.is_empty() { amount } else { amount * self.speeds[i] };
+                if scaled > 0.0 {
+                    self.mark_node_dirty(NodeId(i as u32));
+                } else {
+                    all = false;
+                }
+            }
+        }
+        all
+    }
+
     fn fire_tick(&mut self) {
+        // The decision sweep reads task records.
+        self.state.sync_work();
         self.round += 1;
         self.apply_churn();
         self.update_faults();
@@ -1306,6 +1327,8 @@ impl Engine {
     /// shards inline, across the worker pool, or skipping provably
     /// quiescent ones yields identical results.
     fn collect_decisions(&mut self) {
+        // Sweeping may clear shard flags: a new dirty epoch begins.
+        self.consumers_marked = false;
         let round = self.round;
         let time = self.time;
         // Shard-level activity tracking only has resolution at K ≥ 2; the
@@ -1486,7 +1509,8 @@ impl Engine {
         // In-motion decision: may the load keep sliding (§5.1)? The view
         // is built into the landing shard's scratch and the draw comes from
         // the landing node's own RNG stream, exactly as the flat engine
-        // did.
+        // did. The view shows the landing node's task records.
+        self.state.sync_node_work(flight.to);
         let blocked = if self.churn.is_empty() { &self.down_links } else { &self.masked_links };
         let links = LinkView {
             attrs: self.state.links().attrs(),
@@ -1578,6 +1602,31 @@ impl Engine {
         }
         v
     }
+}
+
+/// Checks a checkpoint's `in_flight_load` against its own occupied flight
+/// slots. The engine keeps that total incrementally (`+= size` per launch,
+/// `-= size` per landing), so after every load has landed it may have
+/// drifted a few ulps off zero — either side. Every landing leaves one
+/// ledger record, so the accumulator has seen `2·landings + in_air`
+/// roundings, each at most one ulp of a partial sum no larger than the
+/// total size ever launched (ledger sizes plus the sizes still in the air).
+/// The value must lie within that many ulps (×2, which also covers summing
+/// the occupied slots here) of the occupied slots' total.
+fn check_in_flight_load(cp: &Checkpoint) -> Result<(), String> {
+    let v = cp.in_flight_load;
+    let (in_air, occupied) =
+        cp.flights.iter().flatten().fold((0, 0.0), |(k, sum), f| (k + 1, sum + f.task.size));
+    let launched = cp.ledger.iter().map(|r| r.size).sum::<f64>() + occupied;
+    let roundings = (2 * (cp.ledger.len() + in_air) + 1) as f64;
+    let bound = roundings * f64::EPSILON * launched;
+    if !v.is_finite() || (v - occupied).abs() > bound {
+        return Err(format!(
+            "checkpoint `in_flight_load` = {v} does not match its occupied flight slots \
+             ({occupied}, rounding bound {bound:e})"
+        ));
+    }
+    Ok(())
 }
 
 /// Touches the height words of one shard's halo — neighbours of its nodes
@@ -1848,6 +1897,7 @@ impl EngineBuilder {
             churn: self.churn.into_events(),
             churn_next: 0,
             speeds: self.speeds,
+            consumers_marked: false,
             trace: self.trace,
             in_flight_load: 0.0,
             completed_tasks: 0,
@@ -1862,6 +1912,9 @@ impl EngineBuilder {
         engine
     }
 }
+
+#[cfg(test)]
+mod consume_tests;
 
 #[cfg(test)]
 mod tests {

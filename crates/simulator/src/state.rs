@@ -8,6 +8,14 @@
 //! the per-tick hot path reads heights and the CoV without rebuilding
 //! anything — [`SystemState::height_slice`] and [`SystemState::cov`] are
 //! allocation-free O(1)/O(0) lookups.
+//!
+//! Work consumption runs over an *active set*: an ascending bitset of the
+//! nodes holding tasks, plus a flat `front_work` array that is the
+//! authoritative remaining work of each such node's front task. The sweep
+//! ([`SystemState::consume_active`]) touches only active nodes, and a task
+//! that outlasts the amount costs one subtraction in that flat array;
+//! `Task::work` is written back where it can be observed (see
+//! `docs/adr/ADR-011-active-set-consumption.md`).
 
 use pp_tasking::graph::TaskGraph;
 use pp_tasking::resources::ResourceMatrix;
@@ -117,13 +125,22 @@ pub struct SystemState {
     /// Height cache, mirrored exactly from `nodes[i].height()`.
     heights: Vec<f64>,
     /// Task-count cache, mirrored exactly from `nodes[i].task_count()` —
-    /// the SoA twin of `heights`, so sweeps that only need "does node `i`
-    /// hold work?" stream one flat `u32` array instead of striding over
+    /// the SoA twin of `heights`, readable without striding over
     /// [`NodeState`] records (and their task vectors).
     task_counts: Vec<u32>,
     /// Total resident task count, maintained incrementally — the event
     /// strategy's O(1) "is there any work to consume?" gate.
     resident_tasks: usize,
+    /// Nodes holding at least one task: bit `i % 64` of word `i / 64` is
+    /// set iff `task_counts[i] > 0`. The consumption sweep's visit list.
+    active: Vec<u64>,
+    /// Remaining work of each active node's front task. Authoritative
+    /// while the node is active: the sweep decrements it in place, and the
+    /// front task record's `work` may lag behind until the next write-back.
+    front_work: Vec<f64>,
+    /// Whether a sweep has moved some `front_work` entry past its task
+    /// record since the last full write-back ([`SystemState::sync_work`]).
+    work_stale: bool,
     /// Incremental `Σh` over all nodes (imbalance sufficient statistic).
     height_sum: f64,
     /// Incremental `Σh²` over all nodes.
@@ -160,6 +177,9 @@ impl SystemState {
             heights: vec![0.0; n],
             task_counts: vec![0; n],
             resident_tasks: 0,
+            active: vec![0; n.div_ceil(64)],
+            front_work: vec![0.0; n],
+            work_stale: false,
             height_sum: 0.0,
             height_sq_sum: 0.0,
             stat_ops: 0,
@@ -186,22 +206,32 @@ impl SystemState {
     /// Adds a task to node `v`, updating the height cache and imbalance
     /// statistics.
     pub fn add_task(&mut self, v: NodeId, task: Task) {
-        let old = self.nodes[v.idx()].height;
-        self.nodes[v.idx()].add_task(task);
+        let i = v.idx();
+        if self.task_counts[i] == 0 {
+            // The new task is the front one; a non-empty queue keeps its
+            // (possibly not yet written back) front work.
+            self.front_work[i] = task.work;
+            self.active[i / 64] |= 1 << (i % 64);
+        }
+        let old = self.nodes[i].height;
+        self.nodes[i].add_task(task);
         self.resident_tasks += 1;
-        self.task_counts[v.idx()] += 1;
+        self.task_counts[i] += 1;
         self.refresh_height(v, old);
     }
 
     /// Removes and returns the task with the given id from node `v`, if
-    /// resident.
+    /// resident. The task leaves with its current remaining work.
     pub fn remove_task(&mut self, v: NodeId, id: TaskId) -> Option<Task> {
-        let old = self.nodes[v.idx()].height;
-        let task = self.nodes[v.idx()].remove_task(id);
+        let i = v.idx();
+        self.sync_node_work(v);
+        let old = self.nodes[i].height;
+        let task = self.nodes[i].remove_task(id);
         if task.is_some() {
             self.resident_tasks -= 1;
-            self.task_counts[v.idx()] -= 1;
+            self.task_counts[i] -= 1;
             self.refresh_height(v, old);
+            self.refresh_front(i);
         }
         task
     }
@@ -209,16 +239,138 @@ impl SystemState {
     /// Consumes up to `amount` of work on node `v`; returns the number of
     /// tasks completed and the work consumed. Allocation-free.
     pub fn consume_work(&mut self, v: NodeId, amount: f64) -> (usize, f64) {
-        let old = self.nodes[v.idx()].height;
-        let out = self.nodes[v.idx()].consume_work_counted(amount);
+        let i = v.idx();
+        self.sync_node_work(v);
+        let old = self.nodes[i].height;
+        let out = self.nodes[i].consume_work_counted(amount);
         self.resident_tasks -= out.0;
-        self.task_counts[v.idx()] -= out.0 as u32;
+        self.task_counts[i] -= out.0 as u32;
         // A completed zero-work task changes the height without consuming
         // anything, so refresh on either signal.
         if out.0 > 0 || out.1 > 0.0 {
             self.refresh_height(v, old);
         }
+        self.refresh_front(i);
         out
+    }
+
+    /// Consumes `amount` of work — times `speeds[i]` when `speeds` is
+    /// non-empty — on every active node not flagged in `down` (which may be
+    /// empty), in ascending node order. Returns the number of tasks
+    /// completed. Bit-identical to calling [`SystemState::consume_work`] on
+    /// every node with a positive scaled amount, but O(n/64 + active):
+    ///
+    /// * a front task that outlasts the amount only loses it from
+    ///   `front_work` and counts one statistics update — the height refresh
+    ///   it skips would add exact zeros to `Σh` and `Σh²` and cannot move
+    ///   the peaks;
+    /// * any completion goes through [`SystemState::consume_work`], so every
+    ///   height change lands in the incremental sums in the same order.
+    ///
+    /// Leaves task records stale until [`SystemState::sync_work`].
+    pub(crate) fn consume_active(&mut self, amount: f64, speeds: &[f64], down: &[bool]) -> usize {
+        let mut completed = 0;
+        let mut stale = false;
+        for w in 0..self.active.len() {
+            let mut bits = self.active[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // A churned-out node consumes nothing: its frozen tasks wait
+                // for it to rejoin.
+                if !down.is_empty() && down[i] {
+                    continue;
+                }
+                let a = if speeds.is_empty() { amount } else { amount * speeds[i] };
+                if a > 0.0 {
+                    if self.front_work[i] > a {
+                        self.front_work[i] -= a;
+                        self.stat_ops += 1;
+                        stale = true;
+                    } else {
+                        completed += self.consume_work(NodeId(i as u32), a).0;
+                    }
+                }
+            }
+        }
+        self.work_stale |= stale;
+        completed
+    }
+
+    /// The active-node bitset words (bit `i % 64` of word `i / 64` marks
+    /// node `i` as holding tasks), for callers that walk the active set.
+    #[inline]
+    pub(crate) fn active_words(&self) -> &[u64] {
+        &self.active
+    }
+
+    /// Writes every active node's `front_work` back into its front task
+    /// record, so [`SystemState::node`] reports current work. O(active)
+    /// after a sweep, free when nothing was consumed since the last call.
+    pub(crate) fn sync_work(&mut self) {
+        if self.work_stale {
+            for w in 0..self.active.len() {
+                let mut bits = self.active[w];
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.nodes[i].tasks[0].work = self.front_work[i];
+                }
+            }
+            self.work_stale = false;
+        }
+        self.debug_check_active_set();
+    }
+
+    /// Writes node `v`'s `front_work` back into its front task record (the
+    /// single-node form of [`SystemState::sync_work`]).
+    #[inline]
+    pub(crate) fn sync_node_work(&mut self, v: NodeId) {
+        let i = v.idx();
+        if let Some(front) = self.nodes[i].tasks.first_mut() {
+            front.work = self.front_work[i];
+        }
+        self.debug_check_node(i);
+    }
+
+    /// Re-derives node `i`'s active bit and front work from its task list.
+    /// Only valid when the front record is current (after a write-back or
+    /// a mutation of the record itself).
+    #[inline]
+    fn refresh_front(&mut self, i: usize) {
+        match self.nodes[i].tasks.first() {
+            Some(front) => {
+                self.front_work[i] = front.work;
+                self.active[i / 64] |= 1 << (i % 64);
+            }
+            None => self.active[i / 64] &= !(1 << (i % 64)),
+        }
+        self.debug_check_node(i);
+    }
+
+    /// Debug builds: node `i`'s active bit matches its task count, and its
+    /// `front_work` equals the front record's work bit for bit (which holds
+    /// at every point where that record can be read).
+    #[inline]
+    fn debug_check_node(&self, i: usize) {
+        if cfg!(debug_assertions) {
+            let bit = self.active[i / 64] >> (i % 64) & 1 == 1;
+            assert_eq!(bit, self.task_counts[i] > 0, "active bit of node {i} out of sync");
+            if let Some(front) = self.nodes[i].tasks.first() {
+                assert_eq!(
+                    front.work.to_bits(),
+                    self.front_work[i].to_bits(),
+                    "front work of node {i} not written back"
+                );
+            }
+        }
+    }
+
+    /// Debug builds: [`SystemState::debug_check_node`] for every node.
+    pub(crate) fn debug_check_active_set(&self) {
+        if cfg!(debug_assertions) {
+            (0..self.nodes.len()).for_each(|i| self.debug_check_node(i));
+        }
     }
 
     #[inline]
@@ -248,8 +400,7 @@ impl SystemState {
     }
 
     /// Per-node resident task counts as a flat slice, index-aligned with
-    /// [`SystemState::height_slice`] — the consume sweep's "does node `i`
-    /// hold work?" gate without touching the node records.
+    /// [`SystemState::height_slice`], without touching the node records.
     #[inline]
     pub fn task_count_slice(&self) -> &[u32] {
         &self.task_counts
@@ -379,6 +530,7 @@ impl SystemState {
         slot.tasks = tasks;
         slot.height = height;
         self.heights[v.idx()] = height;
+        self.refresh_front(v.idx());
     }
 }
 
