@@ -11,13 +11,13 @@ use pp_tasking::graph::TaskGraph;
 use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::{Task, TaskId};
 use pp_topology::graph::{NodeId, Topology};
-use pp_topology::links::{LinkAttrs, LinkMap};
+use pp_topology::links::{LinkAttrs, LinkTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn loaded_state() -> SystemState {
     let topo = Topology::torus(&[8, 8]);
-    let links = LinkMap::uniform(&topo, LinkAttrs::default());
+    let links = LinkTable::uniform(&topo, LinkAttrs::default());
     let mut s = SystemState::new(topo, links, TaskGraph::new(), ResourceMatrix::none());
     let mut id = 0u64;
     for i in 0..64u32 {

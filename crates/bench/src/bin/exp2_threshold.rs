@@ -13,14 +13,14 @@ use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::TaskId;
 use pp_tasking::workload::Workload;
 use pp_topology::graph::{NodeId, Topology};
-use pp_topology::links::{LinkAttrs, LinkMap};
+use pp_topology::links::{LinkAttrs, LinkTable};
 use serde::Serialize;
 
 /// Does a transfer start in round 1 for the given gap and parameters?
 fn moves(gap: f64, mu_extra: f64, e: f64) -> bool {
     let topo = Topology::mesh(&[2]);
     let links =
-        LinkMap::uniform(&topo, LinkAttrs { bandwidth: 1.0 / e, distance: 1.0, fault_prob: 0.0 });
+        LinkTable::uniform(&topo, LinkAttrs { bandwidth: 1.0 / e, distance: 1.0, fault_prob: 0.0 });
     let w = Workload::from_loads(&[gap, 0.0], 1.0);
     // Give every task an extra resource affinity to raise µ_s beyond base.
     let mut res = ResourceMatrix::none();

@@ -13,21 +13,21 @@ use pp_sim::balancer::LoadBalancer;
 use pp_sim::engine::{Engine, EngineBuilder, EngineConfig, RunReport};
 use pp_tasking::workload::Workload;
 use pp_topology::graph::Topology;
-use pp_topology::links::{LinkAttrs, LinkMap};
+use pp_topology::links::{LinkAttrs, LinkTable};
 use serde::Serialize;
 use std::path::PathBuf;
 
 /// Links fast enough that transfers land within the tick — the synchronous
 /// assumption of the classical convergence analyses.
-pub fn instant_links(topo: &Topology) -> LinkMap {
-    LinkMap::uniform(topo, LinkAttrs { bandwidth: 1e9, distance: 1e-9, fault_prob: 0.0 })
+pub fn instant_links(topo: &Topology) -> LinkTable {
+    LinkTable::uniform(topo, LinkAttrs { bandwidth: 1e9, distance: 1e-9, fault_prob: 0.0 })
 }
 
 /// Builds and runs one simulation to completion (rounds + drain) and
 /// returns the report.
 pub fn run_once(
     topo: Topology,
-    links: Option<LinkMap>,
+    links: Option<LinkTable>,
     workload: Workload,
     balancer: Box<dyn LoadBalancer>,
     config: EngineConfig,

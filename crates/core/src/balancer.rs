@@ -232,7 +232,7 @@ mod tests {
     use pp_tasking::resources::ResourceMatrix;
     use pp_tasking::task::{Task, TaskId};
     use pp_topology::graph::{NodeId, Topology};
-    use pp_topology::links::{LinkAttrs, LinkMap};
+    use pp_topology::links::{LinkAttrs, LinkTable};
     use rand::SeedableRng;
 
     fn det(cfg: PhysicsConfig) -> ParticlePlaneBalancer {
@@ -241,7 +241,7 @@ mod tests {
 
     fn ring_state(loads: &[f64]) -> SystemState {
         let topo = Topology::ring(loads.len());
-        let links = LinkMap::uniform(&topo, LinkAttrs::default());
+        let links = LinkTable::uniform(&topo, LinkAttrs::default());
         let mut s = SystemState::new(topo, links, TaskGraph::new(), ResourceMatrix::none());
         let mut id = 0u64;
         for (i, &l) in loads.iter().enumerate() {

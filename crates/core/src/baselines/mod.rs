@@ -33,14 +33,14 @@ pub(crate) mod testutil {
     use pp_tasking::resources::ResourceMatrix;
     use pp_tasking::task::{Task, TaskId};
     use pp_topology::graph::{NodeId, Topology};
-    use pp_topology::links::{LinkAttrs, LinkMap};
+    use pp_topology::links::{LinkAttrs, LinkTable};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Ring system with the given per-node loads split into unit tasks.
     pub fn ring_view_state(loads: &[f64]) -> (SystemState, Vec<f64>) {
         let topo = Topology::ring(loads.len());
-        let links = LinkMap::uniform(&topo, LinkAttrs::default());
+        let links = LinkTable::uniform(&topo, LinkAttrs::default());
         let mut s = SystemState::new(topo, links, TaskGraph::new(), ResourceMatrix::none());
         let mut id = 0u64;
         for (i, &l) in loads.iter().enumerate() {

@@ -24,7 +24,7 @@ use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::TaskId;
 use pp_tasking::workload::{validate_trace, ArrivalProcess, TraceEvent, Workload};
 use pp_topology::graph::{NodeId, Topology};
-use pp_topology::links::{LinkAttrs, LinkMap};
+use pp_topology::links::{LinkAttrs, LinkTable};
 use pp_topology::spec::TopologySpec;
 
 /// Per-link attribute selection.
@@ -84,17 +84,17 @@ impl LinkSpec {
         }
     }
 
-    /// Builds the link map for `topo`.
-    pub fn build(&self, topo: &Topology) -> LinkMap {
+    /// Builds the link table for `topo`.
+    pub fn build(&self, topo: &Topology) -> LinkTable {
         match *self {
             LinkSpec::Uniform { bandwidth, distance, fault_prob } => {
-                LinkMap::uniform(topo, LinkAttrs { bandwidth, distance, fault_prob })
+                LinkTable::uniform(topo, LinkAttrs { bandwidth, distance, fault_prob })
             }
-            LinkSpec::Instant => LinkMap::uniform(
+            LinkSpec::Instant => LinkTable::uniform(
                 topo,
                 LinkAttrs { bandwidth: 1e9, distance: 1e-9, fault_prob: 0.0 },
             ),
-            LinkSpec::Random { seed, bw, d, f_max } => LinkMap::random(topo, seed, bw, d, f_max),
+            LinkSpec::Random { seed, bw, d, f_max } => LinkTable::random(topo, seed, bw, d, f_max),
         }
     }
 }
@@ -1348,6 +1348,18 @@ mod tests {
         assert!(churned.validate().unwrap_err().contains("churn"));
         let bad = text.replace("\"markov\"", "\"flapping\"");
         assert!(ScenarioSpec::from_json(&bad).unwrap_err().contains("unknown churn kind"));
+    }
+
+    #[test]
+    fn oversized_topology_json_is_an_error_not_an_abort() {
+        // 10¹⁰ nodes: `build_engine` must refuse before allocating any.
+        let mut spec = busy_spec();
+        spec.topology = TopologySpec::Torus { dims: vec![4, 4] };
+        let text = spec.to_json_pretty().replace("[\n      4,\n      4\n    ]", "[100000, 100000]");
+        let hostile = ScenarioSpec::from_json(&text).expect("parses");
+        assert_eq!(hostile.topology, TopologySpec::Torus { dims: vec![100_000, 100_000] });
+        let err = hostile.build_engine().err().expect("refused");
+        assert!(err.contains("topology") && err.contains("u32"), "got: {err}");
     }
 
     #[test]

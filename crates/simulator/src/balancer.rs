@@ -317,12 +317,12 @@ pub fn build_view<'a>(
 mod tests {
     use super::*;
     use pp_topology::graph::Topology;
-    use pp_topology::links::LinkMap;
+    use pp_topology::links::LinkTable;
     use rand::SeedableRng;
 
     fn ring_state() -> SystemState {
         let topo = Topology::ring(4);
-        let links = LinkMap::uniform(&topo, LinkAttrs::default());
+        let links = LinkTable::uniform(&topo, LinkAttrs::default());
         SystemState::new(topo, links, TaskGraph::new(), ResourceMatrix::none())
     }
 

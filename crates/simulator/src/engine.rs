@@ -64,7 +64,7 @@ use pp_tasking::task::{Task, TaskIdGen};
 use pp_tasking::workload::{validate_trace, ArrivalProcess, TraceEvent, Workload};
 use pp_topology::edgeset::EdgeBitSet;
 use pp_topology::graph::{EdgeId, NodeId, Topology};
-use pp_topology::links::{LinkAttrs, LinkMap};
+use pp_topology::links::{LinkAttrs, LinkTable};
 use pp_topology::partition::{Partition, RepartitionPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1683,7 +1683,7 @@ fn eval_shard(
 /// Builder for [`Engine`].
 pub struct EngineBuilder {
     topo: Topology,
-    links: Option<LinkMap>,
+    links: Option<LinkTable>,
     workload: Option<Workload>,
     task_graph: TaskGraph,
     resources: ResourceMatrix,
@@ -1714,7 +1714,7 @@ impl EngineBuilder {
     }
 
     /// Sets link attributes (default: uniform unit links).
-    pub fn links(mut self, links: LinkMap) -> Self {
+    pub fn links(mut self, links: LinkTable) -> Self {
         self.links = Some(links);
         self
     }
@@ -1807,7 +1807,7 @@ impl EngineBuilder {
         validate_trace(&self.trace, self.topo.node_count()).expect("invalid arrival trace");
         self.churn.validate(self.topo.node_count()).expect("invalid churn plan");
         let links =
-            self.links.unwrap_or_else(|| LinkMap::uniform(&self.topo, LinkAttrs::default()));
+            self.links.unwrap_or_else(|| LinkTable::uniform(&self.topo, LinkAttrs::default()));
         let mut state = SystemState::new(self.topo, links, self.task_graph, self.resources);
         let mut idgen = TaskIdGen::new();
         if let Some(w) = self.workload {
@@ -2064,7 +2064,7 @@ mod tests {
     fn faulty_links_bounce_loads_back() {
         // fault_prob near 1: every transfer fails all attempts and bounces.
         let topo = Topology::ring(4);
-        let links = LinkMap::uniform(
+        let links = LinkTable::uniform(
             &topo,
             LinkAttrs { bandwidth: 1.0, distance: 1.0, fault_prob: 0.999_999 },
         );

@@ -21,7 +21,7 @@ use pp_tasking::graph::TaskGraph;
 use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::{Task, TaskId};
 use pp_topology::graph::{NodeId, Topology};
-use pp_topology::links::{LinkMap, LinkTable};
+use pp_topology::links::LinkTable;
 
 /// One processor's resident tasks.
 #[derive(Debug, Clone, Default)]
@@ -157,17 +157,19 @@ pub struct SystemState {
 }
 
 impl SystemState {
-    /// Creates a state with empty nodes. Link attributes are flattened over
-    /// the topology's stable edge ids at construction; they are immutable
-    /// afterwards.
+    /// Creates a state with empty nodes. `links` holds one entry per edge
+    /// id of `topo`; it is immutable afterwards.
+    ///
+    /// # Panics
+    /// Panics if `links` was not built for a topology with `topo`'s edges.
     pub fn new(
         topo: Topology,
-        links: LinkMap,
+        links: LinkTable,
         task_graph: TaskGraph,
         resources: ResourceMatrix,
     ) -> Self {
         let n = topo.node_count();
-        let links = LinkTable::new(&topo, &links);
+        assert_eq!(links.len(), topo.edge_count(), "link table does not match the topology");
         SystemState {
             topo,
             task_graph,
@@ -561,8 +563,16 @@ mod tests {
 
     fn small_state() -> SystemState {
         let topo = Topology::ring(4);
-        let links = LinkMap::uniform(&topo, LinkAttrs::default());
+        let links = LinkTable::uniform(&topo, LinkAttrs::default());
         SystemState::new(topo, links, TaskGraph::new(), ResourceMatrix::none())
+    }
+
+    #[test]
+    #[should_panic(expected = "link table does not match the topology")]
+    fn link_table_for_another_topology_is_rejected() {
+        let links = LinkTable::uniform(&Topology::ring(3), LinkAttrs::default());
+        let _ =
+            SystemState::new(Topology::ring(4), links, TaskGraph::new(), ResourceMatrix::none());
     }
 
     #[test]

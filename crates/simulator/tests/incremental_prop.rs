@@ -9,14 +9,14 @@ use pp_tasking::graph::TaskGraph;
 use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::{Task, TaskId};
 use pp_topology::graph::{NodeId, Topology};
-use pp_topology::links::{LinkAttrs, LinkMap};
+use pp_topology::links::{LinkAttrs, LinkTable};
 use proptest::prelude::*;
 
 const NODES: usize = 6;
 
 fn fresh_state() -> SystemState {
     let topo = Topology::ring(NODES);
-    let links = LinkMap::uniform(&topo, LinkAttrs::default());
+    let links = LinkTable::uniform(&topo, LinkAttrs::default());
     SystemState::new(topo, links, TaskGraph::new(), ResourceMatrix::none())
 }
 

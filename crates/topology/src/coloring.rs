@@ -19,7 +19,7 @@ impl EdgeColoring {
     pub fn new(topo: &Topology) -> Self {
         if let TopologyKind::Hypercube(dim) = topo.kind() {
             let mut classes = vec![Vec::new(); *dim];
-            for (u, v) in topo.edges() {
+            for &(u, v) in topo.edge_slice() {
                 let bit = (u.0 ^ v.0).trailing_zeros() as usize;
                 classes[bit].push((u, v));
             }
@@ -29,7 +29,7 @@ impl EdgeColoring {
         // colour_used[c] tracks, per class, which nodes are already matched.
         let n = topo.node_count();
         let mut used: Vec<Vec<bool>> = Vec::new();
-        for (u, v) in topo.edges() {
+        for &(u, v) in topo.edge_slice() {
             let mut placed = false;
             for (c, class) in classes.iter_mut().enumerate() {
                 if !used[c][u.idx()] && !used[c][v.idx()] {

@@ -39,14 +39,11 @@ fn gray(i: usize) -> usize {
 pub fn embed(topo: &Topology) -> Vec<Point2> {
     let n = topo.node_count();
     match topo.kind() {
-        TopologyKind::Mesh(dims) | TopologyKind::Torus(dims) if dims.len() <= 2 => (0..n)
-            .map(|i| {
-                let c = crate::generators::index_to_coords(i, dims);
-                let x = c.first().copied().unwrap_or(0) as f64;
-                let y = c.get(1).copied().unwrap_or(0) as f64;
-                Point2::new(x, y)
-            })
-            .collect(),
+        TopologyKind::Mesh(dims) | TopologyKind::Torus(dims) if dims.len() <= 2 => {
+            // Row-major: the last axis is the fastest-varying coordinate.
+            let xy = |i: usize| if let [_, w] = dims[..] { (i / w, i % w) } else { (i, 0) };
+            (0..n).map(xy).map(|(x, y)| Point2::new(x as f64, y as f64)).collect()
+        }
         TopologyKind::Hypercube(dim) => {
             // Split the address bits into two halves; Gray-decode each half
             // so adjacent nodes stay close on the plane.
@@ -116,7 +113,7 @@ mod tests {
     fn mesh_neighbours_are_unit_distance() {
         let t = Topology::mesh(&[4, 4]);
         let e = embed(&t);
-        for (u, v) in t.edges() {
+        for &(u, v) in t.edge_slice() {
             assert!((e[u.idx()].distance(&e[v.idx()]) - 1.0).abs() < 1e-12);
         }
     }
@@ -138,7 +135,7 @@ mod tests {
         // all neighbours stay within the half-grid span.
         let t = Topology::hypercube(4);
         let e = embed(&t);
-        for (u, v) in t.edges() {
+        for &(u, v) in t.edge_slice() {
             assert!(e[u.idx()].distance(&e[v.idx()]) <= 3.0);
         }
     }

@@ -1,27 +1,23 @@
 //! Constructors for the standard multiprocessor interconnection topologies
 //! the load-balancing literature evaluates on (mesh, torus, hypercube, …).
 
-use crate::graph::{NodeId, Topology, TopologyKind};
+use crate::graph::{Topology, TopologyKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Converts mixed-radix coordinates to a linear node index.
-fn coords_to_index(coords: &[usize], dims: &[usize]) -> usize {
-    let mut idx = 0;
-    for (c, d) in coords.iter().zip(dims) {
-        idx = idx * d + c;
-    }
-    idx
+/// `Π dims`, or `None` when the product overflows `usize`.
+pub(crate) fn grid_node_count(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
 }
 
-/// Converts a linear node index to mixed-radix coordinates.
-pub(crate) fn index_to_coords(mut idx: usize, dims: &[usize]) -> Vec<usize> {
-    let mut coords = vec![0; dims.len()];
-    for i in (0..dims.len()).rev() {
-        coords[i] = idx % dims[i];
-        idx /= dims[i];
+/// `1 + a + a² + … + a^depth`, or `None` when it overflows `usize`.
+pub(crate) fn tree_node_count(arity: usize, depth: usize) -> Option<usize> {
+    let (mut total, mut level) = (1usize, 1usize);
+    for _ in 0..depth {
+        level = level.checked_mul(arity)?;
+        total = total.checked_add(level)?;
     }
-    coords
+    Some(total)
 }
 
 impl Topology {
@@ -29,77 +25,69 @@ impl Topology {
     /// coordinate neighbours, no wraparound. `dims` gives the extent per
     /// dimension, e.g. `&[8, 8]` for an 8×8 mesh.
     pub fn mesh(dims: &[usize]) -> Topology {
-        Self::grid(dims, false, TopologyKind::Mesh(dims.to_vec()))
+        Self::grid(dims, false).with_kind(TopologyKind::Mesh(dims.to_vec()))
     }
 
     /// k-ary n-dimensional torus: a mesh with wraparound links.
     pub fn torus(dims: &[usize]) -> Topology {
-        Self::grid(dims, true, TopologyKind::Torus(dims.to_vec()))
+        Self::grid(dims, true).with_kind(TopologyKind::Torus(dims.to_vec()))
     }
 
-    fn grid(dims: &[usize], wrap: bool, kind: TopologyKind) -> Topology {
+    /// Row-major grid (the last axis has stride 1). Each axis contributes
+    /// its forward links `i → i + stride` inside every block of
+    /// `extent · stride` nodes, plus with `wrap` the link from the last
+    /// layer back to the first; an extent-2 wrap would duplicate the
+    /// forward link and an extent-1 axis has none.
+    fn grid(dims: &[usize], wrap: bool) -> Topology {
         assert!(!dims.is_empty(), "need at least one dimension");
         assert!(dims.iter().all(|&d| d >= 1), "dimensions must be ≥ 1");
-        let n: usize = dims.iter().product();
-        let mut adj = vec![Vec::new(); n];
-        for (idx, list) in adj.iter_mut().enumerate() {
-            let coords = index_to_coords(idx, dims);
-            for (axis, &extent) in dims.iter().enumerate() {
-                if extent < 2 {
-                    continue;
-                }
-                let mut fwd = coords.clone();
-                if coords[axis] + 1 < extent {
-                    fwd[axis] += 1;
-                    list.push(NodeId(coords_to_index(&fwd, dims) as u32));
-                } else if wrap && extent > 2 {
-                    fwd[axis] = 0;
-                    list.push(NodeId(coords_to_index(&fwd, dims) as u32));
-                } else if wrap && extent == 2 && coords[axis] + 1 < extent {
-                    // extent-2 wraparound duplicates the mesh edge; skip.
-                }
-                let mut back = coords.clone();
-                if coords[axis] > 0 {
-                    back[axis] -= 1;
-                    list.push(NodeId(coords_to_index(&back, dims) as u32));
-                } else if wrap && extent > 2 {
-                    back[axis] = extent - 1;
-                    list.push(NodeId(coords_to_index(&back, dims) as u32));
+        let n = grid_node_count(dims)
+            .filter(|&n| n <= u32::MAX as usize)
+            .expect("grid node count exceeds the u32 node-id space");
+        let mut edges = Vec::with_capacity(n * dims.iter().filter(|&&d| d >= 2).count());
+        let mut stride = 1;
+        for &extent in dims.iter().rev() {
+            let block = stride * extent;
+            if extent >= 2 {
+                for base in (0..n).step_by(block) {
+                    for u in base..base + block - stride {
+                        edges.push((u as u32, (u + stride) as u32));
+                    }
+                    if wrap && extent > 2 {
+                        for u in base..base + stride {
+                            edges.push((u as u32, (u + block - stride) as u32));
+                        }
+                    }
                 }
             }
+            stride = block;
         }
-        Topology::from_adjacency(kind, adj)
+        Topology::from_edges(n, &edges)
     }
 
     /// n-dimensional hypercube with `2^dim` nodes; node `u` links to `u ^ (1<<b)`.
     pub fn hypercube(dim: usize) -> Topology {
         assert!(dim <= 20, "hypercube dimension unreasonably large");
-        let n = 1usize << dim;
-        let mut adj = vec![Vec::new(); n];
-        for (u, list) in adj.iter_mut().enumerate() {
-            for b in 0..dim {
-                list.push(NodeId((u ^ (1 << b)) as u32));
-            }
-        }
-        Topology::from_adjacency(TopologyKind::Hypercube(dim), adj)
+        let n = 1u32 << dim;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| (0..dim).map(move |b| (u, u ^ (1 << b))))
+            .filter(|&(u, v)| u < v)
+            .collect();
+        Topology::from_edges(n as usize, &edges).with_kind(TopologyKind::Hypercube(dim))
     }
 
     /// Simple cycle of `n ≥ 3` nodes.
     pub fn ring(n: usize) -> Topology {
         assert!(n >= 3, "a ring needs at least 3 nodes");
         let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Ring);
-        t
+        Topology::from_edges(n, &edges).with_kind(TopologyKind::Ring)
     }
 
     /// Star: node 0 is the hub, all others are leaves.
     pub fn star(n: usize) -> Topology {
         assert!(n >= 2, "a star needs at least 2 nodes");
         let edges: Vec<(u32, u32)> = (1..n as u32).map(|i| (0, i)).collect();
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Star);
-        t
+        Topology::from_edges(n, &edges).with_kind(TopologyKind::Star)
     }
 
     /// Complete graph on `n` nodes.
@@ -110,32 +98,19 @@ impl Topology {
                 edges.push((u, v));
             }
         }
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Complete);
-        t
+        Topology::from_edges(n, &edges).with_kind(TopologyKind::Complete)
     }
 
     /// Balanced tree: root 0, each internal node has `arity` children, down
     /// to the given `depth` (depth 0 = a single root).
     pub fn tree(arity: usize, depth: usize) -> Topology {
         assert!(arity >= 1, "arity must be ≥ 1");
-        let mut edges = Vec::new();
-        let mut level: Vec<u32> = vec![0];
-        let mut next_id = 1u32;
-        for _ in 0..depth {
-            let mut next_level = Vec::new();
-            for &parent in &level {
-                for _ in 0..arity {
-                    edges.push((parent, next_id));
-                    next_level.push(next_id);
-                    next_id += 1;
-                }
-            }
-            level = next_level;
-        }
-        let mut t = Topology::from_edges(next_id as usize, &edges);
-        t.set_kind(TopologyKind::Tree(arity));
-        t
+        let n = tree_node_count(arity, depth)
+            .filter(|&n| n <= u32::MAX as usize)
+            .expect("tree node count exceeds the u32 node-id space");
+        // Level order: the children of node p are p·arity + 1 ..= p·arity + arity.
+        let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| ((v - 1) / arity as u32, v)).collect();
+        Topology::from_edges(n, &edges).with_kind(TopologyKind::Tree(arity))
     }
 
     /// Connected random graph: a random spanning tree (guaranteeing
@@ -158,9 +133,7 @@ impl Topology {
                 }
             }
         }
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Random);
-        t
+        Topology::from_edges(n, &edges).with_kind(TopologyKind::Random)
     }
 
     /// Barabási–Albert preferential-attachment scale-free graph: a
@@ -200,9 +173,7 @@ impl Topology {
                 endpoints.push(v);
             }
         }
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::ScaleFree(m));
-        t
+        Topology::from_edges(n, &edges).with_kind(TopologyKind::ScaleFree(m))
     }
 
     /// Random geometric graph: `n` seeded points uniform in the unit
@@ -268,19 +239,14 @@ impl Topology {
             parent[ru] = rv;
             components -= 1;
         }
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Geometric);
-        t
-    }
-
-    pub(crate) fn set_kind(&mut self, kind: TopologyKind) {
-        *self.kind_mut() = kind;
+        Topology::from_edges(n, &edges).with_kind(TopologyKind::Geometric)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeId;
 
     #[test]
     fn mesh_2d_structure() {
@@ -383,9 +349,9 @@ mod tests {
         let a = Topology::random(32, 0.05, 7);
         let b = Topology::random(32, 0.05, 7);
         assert!(a.is_connected());
-        assert_eq!(a.edges(), b.edges());
+        assert_eq!(a.edge_slice(), b.edge_slice());
         let c = Topology::random(32, 0.05, 8);
-        assert_ne!(a.edges(), c.edges());
+        assert_ne!(a.edge_slice(), c.edge_slice());
     }
 
     #[test]
@@ -413,8 +379,8 @@ mod tests {
         // distinct and the new node is fresh), so the count is exact.
         assert_eq!(a.edge_count(), 3 + 2 * (64 - 3));
         let b = Topology::scale_free(64, 2, 11);
-        assert_eq!(a.edges(), b.edges());
-        assert_ne!(a.edges(), Topology::scale_free(64, 2, 12).edges());
+        assert_eq!(a.edge_slice(), b.edge_slice());
+        assert_ne!(a.edge_slice(), Topology::scale_free(64, 2, 12).edge_slice());
         assert_eq!(*a.kind(), TopologyKind::ScaleFree(2));
         // Preferential attachment grows hubs: some node must exceed the
         // regular-graph degree.
@@ -432,8 +398,8 @@ mod tests {
         }
         let a = Topology::random_geometric(48, 0.2, 5);
         let b = Topology::random_geometric(48, 0.2, 5);
-        assert_eq!(a.edges(), b.edges());
-        assert_ne!(a.edges(), Topology::random_geometric(48, 0.2, 6).edges());
+        assert_eq!(a.edge_slice(), b.edge_slice());
+        assert_ne!(a.edge_slice(), Topology::random_geometric(48, 0.2, 6).edge_slice());
         assert_eq!(*a.kind(), TopologyKind::Geometric);
         // radius ≥ √2 covers the unit square: complete graph.
         let full = Topology::random_geometric(10, 2.0, 1);

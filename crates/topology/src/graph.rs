@@ -112,66 +112,79 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds a topology from adjacency lists. Neighbour lists are sorted and
-    /// deduplicated; self-loops are removed.
-    pub fn from_adjacency(kind: TopologyKind, mut adj: Vec<Vec<NodeId>>) -> Self {
-        let n = adj.len() as u32;
-        for (i, list) in adj.iter_mut().enumerate() {
-            list.retain(|v| v.0 != i as u32 && v.0 < n);
-            list.sort_unstable();
-            list.dedup();
-        }
-        // Symmetrise: if u lists v, v must list u.
-        let pairs: Vec<(u32, u32)> = adj
-            .iter()
-            .enumerate()
-            .flat_map(|(u, list)| list.iter().map(move |v| (u as u32, v.0)))
-            .collect();
-        for (u, v) in pairs {
-            let back = &mut adj[v as usize];
-            if back.binary_search(&NodeId(u)).is_err() {
-                let pos = back.partition_point(|x| x.0 < u);
-                back.insert(pos, NodeId(u));
+    /// Builds from an explicit edge list over `n` nodes. Duplicates and
+    /// reversed pairs collapse to one edge; self-loops are dropped.
+    ///
+    /// A counting-sort CSR build: count each node's directed slots, prefix
+    /// the counts into offsets, scatter both directions of every edge, then
+    /// sort, dedup and compact each slice in place. Edge ids follow the
+    /// `(u, v)`, `u < v` order.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is `>= n`, if `n` exceeds the `u32` node-id
+    /// space, or if the list's directed slots (two per entry, before
+    /// duplicates collapse) exceed the `u32` offsets.
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        assert!(n <= u32::MAX as usize, "{n} nodes exceed the u32 node-id space");
+        assert!(edges.len() <= u32::MAX as usize / 2, "directed slots exceed the u32 CSR offsets");
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, v) in edges {
+            assert!((u as usize) < n && (v as usize) < n, "edge endpoint out of range");
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
             }
         }
-        // Flatten to CSR and assign edge ids in (u, v), u < v order. For a
-        // back slot (u > v) the id was already assigned while walking v's
-        // list, and v < u means v's slice is fully built — look it up there.
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let total: usize = adj.iter().map(Vec::len).sum();
-        let mut targets = Vec::with_capacity(total);
-        let mut slot_edges = vec![EdgeId(0); total];
-        let mut edge_list = Vec::with_capacity(total / 2);
-        offsets.push(0u32);
-        for list in &adj {
-            targets.extend_from_slice(list);
-            offsets.push(targets.len() as u32);
+        let mut total = 0;
+        for o in offsets.iter_mut() {
+            total += *o;
+            *o = total;
         }
-        for (u, list) in adj.iter().enumerate() {
-            let base = offsets[u] as usize;
-            for (slot, &v) in list.iter().enumerate() {
-                if (u as u32) < v.0 {
-                    slot_edges[base + slot] = EdgeId(edge_list.len() as u32);
-                    edge_list.push((NodeId(u as u32), v));
-                } else {
-                    let vbase = offsets[v.idx()] as usize;
-                    let pos = adj[v.idx()].binary_search(&NodeId(u as u32)).expect("symmetric");
-                    slot_edges[base + slot] = slot_edges[vbase + pos];
+        let mut targets = vec![NodeId(0); total as usize];
+        let mut cursor = offsets.clone();
+        for &(u, v) in edges {
+            if u != v {
+                targets[cursor[u as usize] as usize] = NodeId(v);
+                cursor[u as usize] += 1;
+                targets[cursor[v as usize] as usize] = NodeId(u);
+                cursor[v as usize] += 1;
+            }
+        }
+        // Sort and dedup each slice, compacting leftwards: the write head
+        // never passes the start of the slice being read.
+        let mut write = 0;
+        for u in 0..n {
+            let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+            targets[lo..hi].sort_unstable();
+            offsets[u] = write as u32;
+            for k in lo..hi {
+                if k == lo || targets[k] != targets[k - 1] {
+                    targets[write] = targets[k];
+                    write += 1;
                 }
             }
         }
-        Topology { kind, offsets, targets, slot_edges, edge_list }
-    }
-
-    /// Builds from an explicit edge list over `n` nodes.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut adj = vec![Vec::new(); n];
-        for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge endpoint out of range");
-            adj[u as usize].push(NodeId(v));
-            adj[v as usize].push(NodeId(u));
+        offsets[n] = write as u32;
+        targets.truncate(write);
+        // Edge ids in (u, v), u < v order. Visiting u ascending hands each
+        // v its back edges in ascending u, which is the order of the `< v`
+        // prefix of v's sorted slice, so one cursor per node places them.
+        let mut slot_edges = vec![EdgeId(0); write];
+        let mut edge_list = Vec::with_capacity(write / 2);
+        cursor.copy_from_slice(&offsets);
+        for u in 0..n {
+            for k in offsets[u] as usize..offsets[u + 1] as usize {
+                let v = targets[k];
+                if v.0 > u as u32 {
+                    let e = EdgeId(edge_list.len() as u32);
+                    edge_list.push((NodeId(u as u32), v));
+                    slot_edges[k] = e;
+                    slot_edges[cursor[v.idx()] as usize] = e;
+                    cursor[v.idx()] += 1;
+                }
+            }
         }
-        Topology::from_adjacency(TopologyKind::Custom, adj)
+        Topology { kind: TopologyKind::Custom, offsets, targets, slot_edges, edge_list }
     }
 
     /// The topology family.
@@ -179,8 +192,10 @@ impl Topology {
         &self.kind
     }
 
-    pub(crate) fn kind_mut(&mut self) -> &mut TopologyKind {
-        &mut self.kind
+    /// The same graph labelled with a generator's family.
+    pub(crate) fn with_kind(mut self, kind: TopologyKind) -> Self {
+        self.kind = kind;
+        self
     }
 
     /// Number of nodes `|V|`.
@@ -256,12 +271,6 @@ impl Topology {
         &self.edge_list
     }
 
-    /// All undirected edges as `(u, v)` with `u < v` (owned copy; prefer
-    /// [`Topology::edge_slice`] on hot paths).
-    pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
-        self.edge_list.clone()
-    }
-
     /// BFS hop distances from `from`; unreachable nodes get `usize::MAX`.
     pub fn bfs_distances(&self, from: NodeId) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.node_count()];
@@ -329,11 +338,10 @@ mod tests {
     }
 
     #[test]
-    fn one_sided_adjacency_is_symmetrised() {
-        let adj = vec![vec![NodeId(1)], vec![]];
-        let t = Topology::from_adjacency(TopologyKind::Custom, adj);
-        assert!(t.has_edge(NodeId(1), NodeId(0)));
-        assert_eq!(t.edge_count(), 1);
+    fn one_sided_edge_is_symmetrised() {
+        let t = Topology::from_edges(2, &[(1, 0)]);
+        assert!(t.has_edge(NodeId(0), NodeId(1)));
+        assert_eq!(t.edge_slice(), &[(NodeId(0), NodeId(1))]);
     }
 
     #[test]
@@ -354,9 +362,9 @@ mod tests {
     #[test]
     fn edges_listed_once_each() {
         let t = Topology::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        let e = t.edges();
+        let e = t.edge_slice();
         assert_eq!(e.len(), 3);
-        for (u, v) in e {
+        for &(u, v) in e {
             assert!(u < v);
         }
     }
@@ -402,11 +410,5 @@ mod tests {
                 assert!((a, b) == (u.min(v), u.max(v)));
             }
         }
-    }
-
-    #[test]
-    fn edges_matches_edge_slice() {
-        let t = Topology::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        assert_eq!(t.edges(), t.edge_slice().to_vec());
     }
 }

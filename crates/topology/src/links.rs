@@ -17,7 +17,6 @@ use crate::embedding::Point2;
 use crate::graph::{EdgeId, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Attributes of one physical link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,44 +73,55 @@ impl LinkAttrs {
     }
 }
 
-/// Symmetric per-link attribute storage for a topology (the `BW`, `D`, `F`
-/// matrices of §4.2, stored sparsely).
+/// Per-link attributes of a topology: the `BW`, `D`, `F` matrices of §4.2,
+/// stored as one [`LinkAttrs`] per stable edge id, so every consumer
+/// addresses a link by array index instead of hashing `(u, v)` pairs.
+/// Immutable once built.
 #[derive(Debug, Clone)]
-pub struct LinkMap {
-    attrs: HashMap<(u32, u32), LinkAttrs>,
+pub struct LinkTable {
+    attrs: Vec<LinkAttrs>,
 }
 
-fn key(u: NodeId, v: NodeId) -> (u32, u32) {
-    if u.0 <= v.0 {
-        (u.0, v.0)
-    } else {
-        (v.0, u.0)
+impl LinkTable {
+    /// Builds the table by calling `f(u, v)` once per edge, in edge-id
+    /// order (`(u, v)`, `u < v`, ascending) — the order seeded
+    /// constructors draw in.
+    ///
+    /// # Panics
+    /// Panics if `f` returns attributes that fail [`LinkAttrs::validate`].
+    pub(crate) fn from_fn(topo: &Topology, mut f: impl FnMut(NodeId, NodeId) -> LinkAttrs) -> Self {
+        let attrs = topo
+            .edge_slice()
+            .iter()
+            .map(|&(u, v)| {
+                let a = f(u, v);
+                a.validate().expect("invalid link attributes");
+                a
+            })
+            .collect();
+        LinkTable { attrs }
     }
-}
 
-impl LinkMap {
     /// All links of `topo` share the same attributes.
     pub fn uniform(topo: &Topology, attrs: LinkAttrs) -> Self {
         attrs.validate().expect("invalid link attributes");
-        let map = topo.edges().into_iter().map(|(u, v)| (key(u, v), attrs)).collect();
-        LinkMap { attrs: map }
+        LinkTable { attrs: vec![attrs; topo.edge_count()] }
     }
 
     /// Distances derived from an embedding (Euclidean length of each link),
     /// uniform bandwidth, no faults.
     pub fn from_embedding(topo: &Topology, points: &[Point2], bandwidth: f64) -> Self {
-        let mut attrs = HashMap::new();
-        for (u, v) in topo.edges() {
-            let d = points[u.idx()].distance(&points[v.idx()]).max(1e-9);
-            attrs.insert(key(u, v), LinkAttrs { bandwidth, distance: d, fault_prob: 0.0 });
-        }
-        LinkMap { attrs }
+        LinkTable::from_fn(topo, |u, v| LinkAttrs {
+            bandwidth,
+            distance: points[u.idx()].distance(&points[v.idx()]).max(1e-9),
+            fault_prob: 0.0,
+        })
     }
 
     /// Heterogeneous random attributes (seeded): bandwidth in
     /// `[bw_min, bw_max]`, distance in `[d_min, d_max]`, fault probability in
-    /// `[0, f_max]`.
-    #[allow(clippy::too_many_arguments)]
+    /// `[0, f_max]`. Draws bandwidth, distance, fault per edge in edge-id
+    /// order.
     pub fn random(
         topo: &Topology,
         seed: u64,
@@ -123,73 +133,11 @@ impl LinkMap {
         assert!(d_range.0 > 0.0 && d_range.1 >= d_range.0);
         assert!((0.0..1.0).contains(&f_max));
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut attrs = HashMap::new();
-        for (u, v) in topo.edges() {
-            attrs.insert(
-                key(u, v),
-                LinkAttrs {
-                    bandwidth: rng.gen_range(bw_range.0..=bw_range.1),
-                    distance: rng.gen_range(d_range.0..=d_range.1),
-                    fault_prob: if f_max > 0.0 { rng.gen_range(0.0..f_max) } else { 0.0 },
-                },
-            );
-        }
-        LinkMap { attrs }
-    }
-
-    /// Attributes of the `(u, v)` link, if it exists.
-    pub fn get(&self, u: NodeId, v: NodeId) -> Option<&LinkAttrs> {
-        self.attrs.get(&key(u, v))
-    }
-
-    /// Mutable attributes of the `(u, v)` link (e.g. to inject a fault).
-    pub fn get_mut(&mut self, u: NodeId, v: NodeId) -> Option<&mut LinkAttrs> {
-        self.attrs.get_mut(&key(u, v))
-    }
-
-    /// Overwrites the attributes of the `(u, v)` link.
-    pub fn set(&mut self, u: NodeId, v: NodeId, attrs: LinkAttrs) {
-        attrs.validate().expect("invalid link attributes");
-        self.attrs.insert(key(u, v), attrs);
-    }
-
-    /// The paper's `e_{i,j}` weight for the `(u, v)` link.
-    pub fn weight(&self, u: NodeId, v: NodeId, c: f64) -> Option<f64> {
-        self.get(u, v).map(|a| a.weight(c))
-    }
-
-    /// Number of links with attributes.
-    pub fn len(&self) -> usize {
-        self.attrs.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
-    }
-}
-
-/// Edge-id-indexed link attributes: the hot-path view of a [`LinkMap`],
-/// flattened over a topology's stable edge ids so the per-tick loops address
-/// link attributes and precomputed weights by array index instead of hashing
-/// `(u, v)` pairs.
-#[derive(Debug, Clone)]
-pub struct LinkTable {
-    attrs: Vec<LinkAttrs>,
-}
-
-impl LinkTable {
-    /// Flattens `map` over `topo`'s edge ids.
-    ///
-    /// # Panics
-    /// Panics if any edge of `topo` is missing from `map`.
-    pub fn new(topo: &Topology, map: &LinkMap) -> Self {
-        let attrs = topo
-            .edge_slice()
-            .iter()
-            .map(|&(u, v)| *map.get(u, v).expect("link attributes missing for an edge"))
-            .collect();
-        LinkTable { attrs }
+        LinkTable::from_fn(topo, |_, _| LinkAttrs {
+            bandwidth: rng.gen_range(bw_range.0..=bw_range.1),
+            distance: rng.gen_range(d_range.0..=d_range.1),
+            fault_prob: if f_max > 0.0 { rng.gen_range(0.0..f_max) } else { 0.0 },
+        })
     }
 
     /// Attributes of the edge, by id.
@@ -276,43 +224,63 @@ mod tests {
     }
 
     #[test]
-    fn uniform_map_covers_all_edges() {
+    fn uniform_table_covers_all_edges() {
         let t = Topology::mesh(&[3, 3]);
-        let m = LinkMap::uniform(&t, LinkAttrs::default());
+        let m = LinkTable::uniform(&t, LinkAttrs::default());
         assert_eq!(m.len(), t.edge_count());
-        for (u, v) in t.edges() {
-            assert!(m.get(u, v).is_some());
-            assert!(m.get(v, u).is_some()); // symmetric access
-        }
+        assert!(m.attrs().iter().all(|&a| a == LinkAttrs::default()));
     }
 
     #[test]
-    fn map_set_and_get_mut() {
-        let t = Topology::ring(4);
-        let mut m = LinkMap::uniform(&t, LinkAttrs::default());
-        m.set(NodeId(0), NodeId(1), LinkAttrs { bandwidth: 9.0, ..Default::default() });
-        assert_eq!(m.get(NodeId(1), NodeId(0)).unwrap().bandwidth, 9.0);
-        m.get_mut(NodeId(0), NodeId(1)).unwrap().fault_prob = 0.5;
-        assert_eq!(m.get(NodeId(0), NodeId(1)).unwrap().fault_prob, 0.5);
+    fn from_fn_visits_edges_in_id_order() {
+        let t = Topology::torus(&[3, 4]);
+        let mut seen = Vec::new();
+        let m = LinkTable::from_fn(&t, |u, v| {
+            seen.push((u, v));
+            LinkAttrs { distance: 1.0 + u.0 as f64, ..Default::default() }
+        });
+        assert_eq!(seen, t.edge_slice());
+        for (i, &(u, _)) in t.edge_slice().iter().enumerate() {
+            assert_eq!(m.get(EdgeId(i as u32)).distance, 1.0 + u.0 as f64);
+        }
     }
 
     #[test]
     fn embedding_distances_used() {
         let t = Topology::mesh(&[2, 2]);
         let pts = crate::embedding::embed(&t);
-        let m = LinkMap::from_embedding(&t, &pts, 1.0);
-        for (u, v) in t.edges() {
-            assert!((m.get(u, v).unwrap().distance - 1.0).abs() < 1e-9);
-        }
+        let m = LinkTable::from_embedding(&t, &pts, 1.0);
+        assert!(m.attrs().iter().all(|a| (a.distance - 1.0).abs() < 1e-9));
     }
 
     #[test]
-    fn random_map_is_deterministic() {
+    fn random_table_is_deterministic() {
         let t = Topology::hypercube(3);
-        let a = LinkMap::random(&t, 5, (0.5, 2.0), (1.0, 3.0), 0.1);
-        let b = LinkMap::random(&t, 5, (0.5, 2.0), (1.0, 3.0), 0.1);
-        for (u, v) in t.edges() {
-            assert_eq!(a.get(u, v), b.get(u, v));
+        let a = LinkTable::random(&t, 5, (0.5, 2.0), (1.0, 3.0), 0.1);
+        let b = LinkTable::random(&t, 5, (0.5, 2.0), (1.0, 3.0), 0.1);
+        assert_eq!(a.attrs(), b.attrs());
+        let c = LinkTable::random(&t, 6, (0.5, 2.0), (1.0, 3.0), 0.1);
+        assert_ne!(a.attrs(), c.attrs());
+    }
+
+    /// Pins the draw order: bandwidth, distance, fault per edge, edges in
+    /// id order. The values are what the seed-7 table held before link
+    /// attributes were stored by edge id (when they were drawn into a
+    /// hash map walked in the same order); a change here changes every
+    /// scenario with random links.
+    #[test]
+    fn random_table_draw_order_is_pinned() {
+        let t = Topology::torus(&[3, 3]);
+        let m = LinkTable::random(&t, 7, (0.5, 2.0), (1.0, 3.0), 0.2);
+        let pinned = [
+            (0, 1, 0.5830406547174997, 1.3442317088962354, 0.1435152256717319),
+            (0, 2, 1.1408147289372579, 2.927319043762459, 0.09314073782809569),
+            (0, 3, 1.585860642854804, 1.659678859105056, 0.19646453024244864),
+            (0, 6, 0.6099256865624113, 1.2284824753757495, 0.03439362813249549),
+        ];
+        for (i, &(u, v, bandwidth, distance, fault_prob)) in pinned.iter().enumerate() {
+            assert_eq!(t.edge_endpoints(EdgeId(i as u32)), (NodeId(u), NodeId(v)));
+            assert_eq!(m.get(EdgeId(i as u32)), LinkAttrs { bandwidth, distance, fault_prob });
         }
     }
 
@@ -320,29 +288,26 @@ mod tests {
     #[should_panic(expected = "invalid link attributes")]
     fn invalid_attrs_rejected() {
         let t = Topology::ring(3);
-        let _ = LinkMap::uniform(&t, LinkAttrs { bandwidth: 0.0, distance: 1.0, fault_prob: 0.0 });
+        let _ =
+            LinkTable::uniform(&t, LinkAttrs { bandwidth: 0.0, distance: 1.0, fault_prob: 0.0 });
     }
 
     #[test]
-    fn link_table_matches_map() {
+    #[should_panic(expected = "invalid link attributes")]
+    fn from_fn_rejects_invalid_attrs() {
+        let t = Topology::ring(3);
+        let _ = LinkTable::from_fn(&t, |_, _| LinkAttrs { fault_prob: 1.0, ..Default::default() });
+    }
+
+    #[test]
+    fn weights_follow_edge_ids() {
         let t = Topology::torus(&[3, 3]);
-        let m = LinkMap::random(&t, 11, (0.5, 2.0), (1.0, 3.0), 0.2);
-        let table = LinkTable::new(&t, &m);
-        assert_eq!(table.len(), t.edge_count());
-        let weights = table.weights(2.0);
-        for (i, &(u, v)) in t.edge_slice().iter().enumerate() {
-            let e = t.edge_index(u, v).unwrap();
-            assert_eq!(table.get(e), *m.get(u, v).unwrap());
-            assert_eq!(weights[i], m.get(u, v).unwrap().weight(2.0));
+        let m = LinkTable::random(&t, 11, (0.5, 2.0), (1.0, 3.0), 0.2);
+        let weights = m.weights(2.0);
+        assert_eq!(weights.len(), t.edge_count());
+        for (i, w) in weights.iter().enumerate() {
+            assert_eq!(*w, m.get(EdgeId(i as u32)).weight(2.0));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "link attributes missing")]
-    fn link_table_rejects_partial_map() {
-        let t = Topology::ring(4);
-        let partial = LinkMap::uniform(&Topology::ring(3), LinkAttrs::default());
-        let _ = LinkTable::new(&t, &partial);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! (`pp-scenario`, `pp-lab`) can name a network instead of hand-wiring a
 //! constructor call. Mirrors the constructors in [`crate::generators`].
 
+use crate::generators::{grid_node_count, tree_node_count};
 use crate::graph::Topology;
 
 /// A generator choice plus its parameters. [`TopologySpec::build`] runs the
@@ -144,31 +145,74 @@ impl TopologySpec {
                 }
             }
         }
-        Ok(())
+        // Sizes come from arithmetic alone, so a hostile spec is refused
+        // before anything is allocated.
+        let limit = u32::MAX as usize;
+        match self.checked_node_count() {
+            Some(n) if n <= limit => {}
+            _ => return Err(format!("{}: node count exceeds the u32 node-id space", self.label())),
+        }
+        match self.slot_bound() {
+            Some(slots) if slots <= limit => Ok(()),
+            _ => Err(format!("{}: directed link slots exceed the u32 CSR offsets", self.label())),
+        }
+    }
+
+    /// Number of nodes, or `None` when it overflows `usize`.
+    fn checked_node_count(&self) -> Option<usize> {
+        match self {
+            TopologySpec::Mesh { dims } | TopologySpec::Torus { dims } => grid_node_count(dims),
+            TopologySpec::Hypercube { dim } => 1usize.checked_shl(u32::try_from(*dim).ok()?),
+            TopologySpec::Tree { arity, depth } => tree_node_count(*arity, *depth),
+            TopologySpec::Ring { n }
+            | TopologySpec::Star { n }
+            | TopologySpec::Complete { n }
+            | TopologySpec::Random { n, .. }
+            | TopologySpec::ScaleFree { n, .. }
+            | TopologySpec::Geometric { n, .. } => Some(*n),
+        }
+    }
+
+    /// The most directed CSR slots (twice the edge-list entries) the
+    /// generator can emit, or `None` on overflow. Exact except for
+    /// `random` with `p > 0` (a spanning tree plus possibly every pair)
+    /// and `geometric` (possibly a complete graph).
+    fn slot_bound(&self) -> Option<usize> {
+        let n = self.checked_node_count()?;
+        let edges = match self {
+            TopologySpec::Mesh { dims } | TopologySpec::Torus { dims } => {
+                // Per axis of extent e ≥ 2: n/e · (e − 1) links, plus n/e
+                // wraparound links on a torus with e > 2.
+                let wrap = matches!(self, TopologySpec::Torus { .. });
+                dims.iter().filter(|&&e| e >= 2).try_fold(0usize, |acc, &e| {
+                    acc.checked_add(n / e * (e - 1 + usize::from(wrap && e > 2)))
+                })?
+            }
+            TopologySpec::Hypercube { dim } => n.checked_mul(*dim)? / 2,
+            TopologySpec::Ring { .. } => n,
+            TopologySpec::Star { .. } | TopologySpec::Tree { .. } => n.saturating_sub(1),
+            TopologySpec::Random { p, .. } if *p == 0.0 => n.saturating_sub(1),
+            TopologySpec::ScaleFree { m, .. } => {
+                let clique = m.checked_add(1)?.checked_mul(*m)? / 2;
+                clique.checked_add(m.checked_mul(n.checked_sub(m + 1)?)?)?
+            }
+            TopologySpec::Random { .. } => {
+                n.saturating_sub(1).checked_add(n.checked_mul(n.saturating_sub(1))? / 2)?
+            }
+            TopologySpec::Complete { .. } | TopologySpec::Geometric { .. } => {
+                n.checked_mul(n.saturating_sub(1))? / 2
+            }
+        };
+        edges.checked_mul(2)
     }
 
     /// Number of nodes the built topology will have.
+    ///
+    /// # Panics
+    /// Panics if the count overflows `usize`; [`TopologySpec::validate`]
+    /// rejects such specs.
     pub fn node_count(&self) -> usize {
-        match self {
-            TopologySpec::Mesh { dims } | TopologySpec::Torus { dims } => dims.iter().product(),
-            TopologySpec::Hypercube { dim } => 1usize << dim,
-            TopologySpec::Ring { n } | TopologySpec::Star { n } | TopologySpec::Complete { n } => {
-                *n
-            }
-            TopologySpec::Tree { arity, depth } => {
-                // 1 + a + a² + … + a^depth.
-                let mut total = 1usize;
-                let mut level = 1usize;
-                for _ in 0..*depth {
-                    level *= arity;
-                    total += level;
-                }
-                total
-            }
-            TopologySpec::Random { n, .. }
-            | TopologySpec::ScaleFree { n, .. }
-            | TopologySpec::Geometric { n, .. } => *n,
-        }
+        self.checked_node_count().expect("topology node count overflows usize")
     }
 
     /// Runs the generator.
@@ -311,6 +355,8 @@ mod tests {
         let cases = vec![
             (TopologySpec::Mesh { dims: vec![3, 4] }, Topology::mesh(&[3, 4])),
             (TopologySpec::Torus { dims: vec![4, 4] }, Topology::torus(&[4, 4])),
+            (TopologySpec::Torus { dims: vec![2, 3, 1] }, Topology::torus(&[2, 3, 1])),
+            (TopologySpec::Mesh { dims: vec![1, 5] }, Topology::mesh(&[1, 5])),
             (TopologySpec::Hypercube { dim: 3 }, Topology::hypercube(3)),
             (TopologySpec::Ring { n: 7 }, Topology::ring(7)),
             (TopologySpec::Star { n: 5 }, Topology::star(5)),
@@ -327,8 +373,15 @@ mod tests {
             spec.validate().expect("valid spec");
             let built = spec.build();
             assert_eq!(built.node_count(), direct.node_count(), "{}", spec.label());
-            assert_eq!(built.edges(), direct.edges(), "{}", spec.label());
+            assert_eq!(built.edge_slice(), direct.edge_slice(), "{}", spec.label());
             assert_eq!(spec.node_count(), direct.node_count(), "{}", spec.label());
+            let slots = 2 * built.edge_count();
+            match spec {
+                TopologySpec::Random { .. } | TopologySpec::Geometric { .. } => {
+                    assert!(spec.slot_bound().unwrap() >= slots, "{}", spec.label())
+                }
+                _ => assert_eq!(spec.slot_bound(), Some(slots), "{}", spec.label()),
+            }
         }
     }
 
@@ -355,6 +408,47 @@ mod tests {
         assert!(TopologySpec::Geometric { n: 1, radius: 0.3, seed: 0 }.validate().is_err());
         assert!(TopologySpec::Geometric { n: 8, radius: 0.0, seed: 0 }.validate().is_err());
         assert!(TopologySpec::Geometric { n: 8, radius: f64::NAN, seed: 0 }.validate().is_err());
+    }
+
+    /// Hostile sizes are refused by arithmetic alone: none of these specs
+    /// is built (each would need gigabytes or wrap an index).
+    #[test]
+    fn oversized_specs_are_rejected_without_building() {
+        let big = 1usize << 32;
+        let rejected = [
+            TopologySpec::Torus { dims: vec![100_000, 100_000] },
+            TopologySpec::Mesh { dims: vec![65_536, 65_536] },
+            // The product wraps usize.
+            TopologySpec::Torus { dims: vec![big, big, big] },
+            // Fits the node ids (4 294 836 225 nodes), not the slots.
+            TopologySpec::Mesh { dims: vec![65_535, 65_535] },
+            TopologySpec::Ring { n: big },
+            TopologySpec::Ring { n: (u32::MAX / 2) as usize + 1 },
+            TopologySpec::Star { n: usize::MAX },
+            TopologySpec::Complete { n: 70_000 },
+            // 2^41 − 1 nodes; arity^depth wraps usize at depth 70.
+            TopologySpec::Tree { arity: 2, depth: 40 },
+            TopologySpec::Tree { arity: 2, depth: 70 },
+            TopologySpec::Tree { arity: usize::MAX, depth: 2 },
+            TopologySpec::Random { n: 70_000, p: 0.001, seed: 1 },
+            TopologySpec::ScaleFree { n: 1 << 31, m: 2, seed: 1 },
+            TopologySpec::ScaleFree { n: usize::MAX, m: usize::MAX - 1, seed: 1 },
+            TopologySpec::Geometric { n: 70_000, radius: 0.01, seed: 1 },
+        ];
+        for spec in rejected {
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("u32"), "{}: {err}", spec.label());
+        }
+        let accepted = [
+            TopologySpec::Torus { dims: vec![1024, 1024] },
+            TopologySpec::Ring { n: (u32::MAX / 2) as usize },
+            TopologySpec::Tree { arity: 2, depth: 30 },
+            TopologySpec::Random { n: 100_000, p: 0.0, seed: 1 },
+            TopologySpec::Complete { n: 65_536 },
+        ];
+        for spec in accepted {
+            assert_eq!(spec.validate(), Ok(()), "{}", spec.label());
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ proptest! {
         let n = m + 1 + extra;
         let a = Topology::scale_free(n, m, seed);
         let b = Topology::scale_free(n, m, seed);
-        prop_assert_eq!(a.edges(), b.edges());
+        prop_assert_eq!(a.edge_slice(), b.edge_slice());
     }
 
     #[test]
@@ -74,7 +74,7 @@ proptest! {
         let radius = radius_milli as f64 / 1000.0;
         let a = Topology::random_geometric(n, radius, seed);
         let b = Topology::random_geometric(n, radius, seed);
-        prop_assert_eq!(a.edges(), b.edges());
+        prop_assert_eq!(a.edge_slice(), b.edge_slice());
     }
 
     #[test]

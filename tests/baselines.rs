@@ -7,8 +7,8 @@ use particle_plane::prelude::*;
 /// Links so fast that transfers complete within the same tick — the
 /// synchronous-network assumption under which the classical convergence
 /// results were proven.
-fn instant_links(topo: &Topology) -> LinkMap {
-    LinkMap::uniform(topo, LinkAttrs { bandwidth: 1e9, distance: 1e-9, fault_prob: 0.0 })
+fn instant_links(topo: &Topology) -> LinkTable {
+    LinkTable::uniform(topo, LinkAttrs { bandwidth: 1e9, distance: 1e-9, fault_prob: 0.0 })
 }
 
 fn run_with(

@@ -70,7 +70,7 @@ fn balancing_speeds_up_completion_under_hotspot() {
 fn fault_storm_does_not_lose_load() {
     let topo = Topology::torus(&[5, 5]);
     let links =
-        LinkMap::uniform(&topo, LinkAttrs { bandwidth: 1.0, distance: 1.0, fault_prob: 0.3 });
+        LinkTable::uniform(&topo, LinkAttrs { bandwidth: 1.0, distance: 1.0, fault_prob: 0.3 });
     let w = Workload::hotspot(25, 0, 100.0);
     let mut engine = EngineBuilder::new(topo)
         .links(links)
@@ -96,7 +96,7 @@ fn fault_storm_does_not_lose_load() {
 fn balancer_still_converges_with_faulty_links() {
     let topo = Topology::torus(&[6, 6]);
     let links =
-        LinkMap::uniform(&topo, LinkAttrs { bandwidth: 1.0, distance: 1.0, fault_prob: 0.1 });
+        LinkTable::uniform(&topo, LinkAttrs { bandwidth: 1.0, distance: 1.0, fault_prob: 0.1 });
     let w = Workload::hotspot(36, 0, 72.0);
     let before = Imbalance::of(&w.heights()).cov;
     let mut engine = EngineBuilder::new(topo)
@@ -120,7 +120,7 @@ fn heat_equals_traffic_for_particle_plane() {
     // (≈ perfectly) with measured load·weight traffic. Heterogeneous links
     // and fractional task sizes give the records real variance.
     let topo = Topology::torus(&[6, 6]);
-    let links = LinkMap::random(&topo, 12, (0.5, 2.0), (0.5, 3.0), 0.0);
+    let links = LinkTable::random(&topo, 12, (0.5, 2.0), (0.5, 3.0), 0.0);
     let w = Workload::bimodal(36, 0.3, 6.3, 1.7, 9);
     let mut engine = EngineBuilder::new(topo)
         .links(links)

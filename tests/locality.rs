@@ -15,7 +15,7 @@ fn tasks_never_rest_beyond_their_energy_radius() {
     let n = topo.node_count();
     let h0 = 2.0 * n as f64; // hotspot height = every task's initial flag bound
     let cfg = PhysicsConfig::default();
-    let links = LinkMap::uniform(&topo, LinkAttrs::default());
+    let links = LinkTable::uniform(&topo, LinkAttrs::default());
     let origin = NodeId(0);
 
     let mut engine = EngineBuilder::new(topo.clone())
@@ -95,7 +95,7 @@ fn reachable_set_bounds_actual_migrations() {
     let n = topo.node_count();
     let h0 = 12.0;
     let cfg = PhysicsConfig::default();
-    let links = LinkMap::uniform(&topo, LinkAttrs::default());
+    let links = LinkTable::uniform(&topo, LinkAttrs::default());
     let mut engine = EngineBuilder::new(topo.clone())
         .links(links.clone())
         .workload(Workload::hotspot(n, 0, h0))
